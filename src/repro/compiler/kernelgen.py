@@ -41,12 +41,14 @@ class PartitionedLoop:
         self.step = step
 
     def iteration_values(self, evaluate) -> range:
-        """Resolve to a concrete range; ``evaluate(expr) -> int``."""
+        """Resolve to a concrete range; ``evaluate(expr) -> int``.  The one
+        place loop bounds become ranges: launch lane spaces
+        (:class:`~repro.device.engine.IterSpace`) hold these ranges as is."""
         start = int(evaluate(self.init))
         bound = int(evaluate(self.bound))
         step = self.step
         if self.cond_op == "<":
-            return range(start, bound, step) if step > 0 else range(start, bound, step)
+            return range(start, bound, step)
         if self.cond_op == "<=":
             return range(start, bound + 1, step)
         if self.cond_op == ">":

@@ -208,8 +208,11 @@ class PassManager:
         if program is not None:
             self.ctx.tracer.event("pass.cache_hit", name="parse")
         if program is None:
-            program = self._run_pass("parse", lambda: parse_program(source))
-            cache.put(fingerprint, program)
+            parsed = self._run_pass("parse", lambda: parse_program(source))
+            # Analysis results are cached by fingerprint, so every compile
+            # of one source must run on one tree: racing parses keep the
+            # first tree stored.
+            program = cache.setdefault(fingerprint, parsed)
             self._fingerprints[program] = fingerprint
         self._maybe_dump("parse", program)
         return program

@@ -270,7 +270,7 @@ class Device:
     def launch(self, spec: LaunchSpec, schedule: Optional[Schedule] = None,
                async_queue: Optional[int] = None,
                backend: Optional[str] = None,
-               partials_out: Optional[Dict[str, List]] = None) -> LaunchResult:
+               partials_out: Optional[Dict[str, np.ndarray]] = None) -> LaunchResult:
         """Run one kernel.  ``backend='interleaved'`` bypasses the vectorized
         fast path (degradation ladder / diagnostics)."""
         if self.chaos is not None:

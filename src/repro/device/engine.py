@@ -18,6 +18,8 @@ such kernels leave the GPU copy of the reduction variable stale.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random as _random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,11 +63,79 @@ class Schedule:
         return f"Schedule({self.kind}, quantum={self.quantum}, seed={self.seed})"
 
 
+class IterSpace:
+    """The lane space of one launch: a collapsed loop nest, not a lane list.
+
+    ``ranges`` holds one ``range`` per partitioned loop, outermost first,
+    exactly as :meth:`~repro.compiler.kernelgen.PartitionedLoop.iteration_values`
+    resolved them.  Lanes are numbered in row-major order over the nest
+    (the innermost loop varies fastest — ``itertools.product`` order), and
+    a space may be a contiguous ``[lo, hi)`` slice of that numbering, which
+    is how the multi-device runtime hands each device its shard.
+    """
+
+    __slots__ = ("ranges", "lo", "hi")
+
+    def __init__(self, ranges: Sequence[range], lo: int = 0,
+                 hi: Optional[int] = None):
+        self.ranges = tuple(ranges)
+        self.lo = lo
+        self.hi = math.prod(len(r) for r in self.ranges) if hi is None else hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, key: slice) -> "IterSpace":
+        """O(1) contiguous sub-space."""
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError("IterSpace supports contiguous slices only")
+        start, stop, _ = key.indices(len(self))
+        return IterSpace(self.ranges, self.lo + start,
+                         self.lo + max(start, stop))
+
+    def __iter__(self):
+        """One index tuple per lane, generated lazily (interleaved stepper)."""
+        return itertools.islice(itertools.product(*self.ranges),
+                                self.lo, self.hi)
+
+    def registers(self) -> List[np.ndarray]:
+        """One int64 array per index variable holding every lane's value.
+
+        Built from ``np.arange`` per loop, repeated over the loops inside it
+        and tiled over the loops outside it.  A slice only builds the rows
+        of the outermost loop it overlaps, then trims to ``[lo, hi)``."""
+        n = len(self)
+        if not self.ranges:
+            return []
+        if n == 0:
+            return [np.zeros(0, np.int64) for _ in self.ranges]
+        row = math.prod(len(r) for r in self.ranges[1:])  # lanes per outer row
+        first_row, last_row = self.lo // row, (self.hi - 1) // row + 1
+        box = (self.ranges[0][first_row:last_row],) + self.ranges[1:]
+        offset = self.lo - first_row * row
+        regs = []
+        outer, inner = 1, math.prod(len(r) for r in box)
+        for r in box:
+            inner //= len(r)
+            vals = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+            if inner > 1:
+                vals = np.repeat(vals, inner)
+            if outer > 1:
+                vals = np.tile(vals, outer)
+            regs.append(vals[offset:offset + n])
+            outer *= len(r)
+        return regs
+
+
 class LaunchSpec:
     """Everything the engine needs for one kernel launch.
 
-    ``threads`` is the resolved iteration space: one tuple of index values
-    per logical thread, bound to ``index_vars`` in each thread's registers.
+    ``space`` is the launch's :class:`IterSpace`: one logical thread per
+    lane, its index values bound to ``index_vars`` in that thread's
+    registers.  No per-lane list is ever built: the vectorized backend and
+    the shard probe take whole lane registers from
+    :meth:`IterSpace.registers`, the multi-device runtime slices the space,
+    and only the interleaved stepper walks it lane by lane.
     """
 
     def __init__(
@@ -73,7 +143,7 @@ class LaunchSpec:
         name: str,
         instrs: Program,
         index_vars: Sequence[str],
-        threads: Sequence[Tuple],
+        space: IterSpace,
         arrays: Dict[str, np.ndarray],
         scalars: Optional[Dict[str, object]] = None,
         private_decls: Optional[Dict[str, object]] = None,
@@ -86,7 +156,7 @@ class LaunchSpec:
         self.name = name
         self.instrs = instrs
         self.index_vars = tuple(index_vars)
-        self.threads = list(threads)
+        self.space = space
         self.arrays = arrays
         self.scalars = dict(scalars or {})
         self.private_decls = dict(private_decls or {})   # name -> dtype|None
@@ -100,7 +170,7 @@ class LaunchSpec:
 
     @property
     def nthreads(self) -> int:
-        return len(self.threads)
+        return len(self.space)
 
 
 class LaunchResult:
@@ -208,11 +278,11 @@ class KernelEngine:
 
     def launch(self, spec: LaunchSpec, schedule: Optional[Schedule] = None,
                backend: Optional[str] = None,
-               partials_out: Optional[Dict[str, List]] = None) -> LaunchResult:
+               partials_out: Optional[Dict[str, np.ndarray]] = None) -> LaunchResult:
         """``backend='interleaved'`` forces the stepper even for vectorizable
         specs (degradation ladder / diagnostics); None picks automatically.
         ``partials_out`` (multi-device shard merging) receives each
-        reduction's per-lane partials in lane order."""
+        reduction's per-lane partials in lane order, as an array."""
         schedule = schedule or Schedule.round_robin()
         if (self.vectorize and backend != "interleaved"
                 and schedule.kind != Schedule.RANDOM):
@@ -244,7 +314,7 @@ class KernelEngine:
         partials: Dict[str, List] = {name: [] for name, _, _ in spec.reductions}
         red_info = {name: (op, dtype) for name, op, dtype in spec.reductions}
 
-        for values in spec.threads:
+        for values in spec.space:
             t = _Thread()
             for var, val in zip(spec.index_vars, values):
                 t.regs[var] = val
@@ -272,8 +342,11 @@ class KernelEngine:
                 partials[name].append(t.regs.get(name, identity(red_info[name][0])))
 
         if partials_out is not None:
+            # The sharded merge concatenates every shard's partials as
+            # arrays; object dtype hands the stepper's Python values over
+            # unconverted, so the merged combine sees exactly these values.
             for name, vals in partials.items():
-                partials_out[name] = list(vals)
+                partials_out[name] = np.array(vals, dtype=object)
 
         reductions = {
             name: tree_reduce(op, partials[name], dtype)

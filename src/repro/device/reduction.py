@@ -47,12 +47,55 @@ def combine(op: str, a, b):
     return _COMBINE[op](a, b)
 
 
+# Float combines the NumPy tree runs level by level.  IEEE add and multiply
+# are the same operation elementwise as on two scalars, and ``where`` picks
+# exactly what Python's ``max``/``min`` pick: the first argument unless the
+# second compares strictly greater (less), so NaN and signed zeros land alike.
+_ARRAY_COMBINE = {
+    "+": np.add,
+    "*": np.multiply,
+    "max": lambda x, y: np.where(y > x, y, x),
+    "min": lambda x, y: np.where(y < x, y, x),
+}
+
+
 def tree_reduce(op: str, partials: Sequence, dtype=None) -> object:
     """Pairwise tree reduction (GPU order).
 
     With ``dtype`` float32, intermediate results round to single precision
     at every combine, like a real in-register reduction.
+
+    A float array under ``+``, ``*``, ``max`` or ``min`` is reduced in NumPy,
+    one tree level per step: ``a[0:m:2]`` combines with ``a[1:m:2]`` and an
+    odd tail carries over, the same pairs in the same order as the scalar
+    loop, so the result is bit-identical.  Integer, bitwise and logical
+    reductions run the scalar loop on Python values: Python ints never wrap.
     """
+    if isinstance(partials, np.ndarray):
+        fn = _ARRAY_COMBINE.get(op)
+        if (fn is not None and partials.dtype.kind == "f"
+                and (dtype is None or np.dtype(dtype).kind == "f")):
+            # The scalar loop combines Python floats (doubles) unless a
+            # dtype rounds every step.
+            work = np.float64 if dtype is None else dtype
+            return _tree_reduce_array(op, fn, partials.astype(work, copy=False))
+        partials = partials.tolist()
+    return _tree_reduce_scalars(op, partials, dtype)
+
+
+def _tree_reduce_array(op: str, fn, values: np.ndarray) -> object:
+    if values.size == 0:
+        return identity(op)
+    while values.size > 1:
+        m = values.size & ~1
+        pairs = fn(values[0:m:2], values[1:m:2])
+        values = (np.concatenate((pairs, values[m:])) if values.size & 1
+                  else pairs)
+    return values[0].item()
+
+
+def _tree_reduce_scalars(op: str, partials: Sequence, dtype=None) -> object:
+    """The scalar pairwise loop: every op, Python values."""
     fn = _COMBINE[op]
     if not partials:
         return identity(op)

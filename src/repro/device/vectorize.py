@@ -867,7 +867,7 @@ def execute(spec, plan: VectorPlan, max_total_steps: int,
     contents) — an under-approximation of the true store footprint (a store
     of an identical value is invisible), which is exactly the safe direction
     for the runtime's dirty-interval tracking; otherwise it is None."""
-    nlanes = len(spec.threads)
+    nlanes = len(spec.space)
     instrs = spec.instrs
     n = len(instrs)
 
@@ -879,10 +879,8 @@ def execute(spec, plan: VectorPlan, max_total_steps: int,
     ctx = _Ctx(nlanes, arrays, dict(spec.scalars))
 
     # Lane registers, mirroring KernelEngine.launch's per-thread setup.
-    for k, var in enumerate(spec.index_vars):
-        ctx.regs[var] = np.fromiter(
-            (values[k] for values in spec.threads), _INT, count=nlanes
-        )
+    for var, reg in zip(spec.index_vars, spec.space.registers()):
+        ctx.regs[var] = reg
     for name, dtype in spec.private_decls.items():
         ctx.dtypes[name] = dtype
         if dtype is not None:
@@ -958,12 +956,12 @@ def execute(spec, plan: VectorPlan, max_total_steps: int,
 
     reductions = {}
     for name, (op, dtype) in red_info.items():
-        partials = ctx.regs[name].tolist()
+        partials = ctx.regs[name]
         if partials_out is not None:
             # Lane-order partials for the multi-device merger: reducing the
             # concatenation of every shard's partials in one tree reproduces
             # the single-device combine order bit-for-bit.
-            partials_out[name] = list(partials)
+            partials_out[name] = partials
         reductions[name] = tree_reduce(op, partials, dtype)
 
     return total, int(steps.max()) if nlanes else 0, reductions, write_sets

@@ -703,19 +703,19 @@ class AccRuntime:
                 self._charge_d2d(copies, spec.name)
 
         results: List[LaunchResult] = []
-        partials_list: List[Dict[str, List]] = []
+        partials_list: List[Dict[str, np.ndarray]] = []
         for d, (lo, hi) in enumerate(shards):
             arrays_d = (spec.arrays if d == 0 else
                         {kname: self.devset.devices[d].array(hlist[d])
                          for kname, (_, hlist) in handles.items()})
             sub = LaunchSpec(
-                spec.name, spec.instrs, spec.index_vars, spec.threads[lo:hi],
+                spec.name, spec.instrs, spec.index_vars, spec.space[lo:hi],
                 arrays_d, scalars=spec.scalars,
                 private_decls=spec.private_decls,
                 firstprivate=spec.firstprivate,
                 reductions=spec.reductions, array_names=spec.array_names,
             )
-            partials: Dict[str, List] = {}
+            partials: Dict[str, np.ndarray] = {}
             with self.tracer.span("kernel.shard", category="runtime.kernel",
                                   kernel=spec.name, device=d,
                                   lanes=hi - lo) as shsp:
@@ -759,9 +759,8 @@ class AccRuntime:
                 merged_writes[kname] = acc.intervals()
         reductions: Dict[str, object] = {}
         for name, op, dtype in spec.reductions:
-            lane_partials: List = []
-            for partials in partials_list:
-                lane_partials.extend(partials.get(name, []))
+            lane_partials = np.concatenate(
+                [partials[name] for partials in partials_list])
             reductions[name] = tree_reduce(op, lane_partials, dtype)
         backend_kind = ("vectorized"
                         if all(r.backend == "vectorized" for r in results)

@@ -127,12 +127,11 @@ def shard_footprints(spec, plan, shards: List[Tuple[int, int]]
     names (``spec.array_names`` maps them to canonical ones)."""
     out: List[Dict[str, ShardFootprint]] = []
     for lo, hi in shards:
-        lanes = spec.threads[lo:hi]
+        lanes = spec.space[lo:hi]
         n = len(lanes)
         ctx = vectorize._Ctx(n, {}, dict(spec.scalars))
-        for k, var in enumerate(spec.index_vars):
-            ctx.regs[var] = np.fromiter(
-                (values[k] for values in lanes), np.int64, count=n)
+        for var, reg in zip(spec.index_vars, lanes.registers()):
+            ctx.regs[var] = reg
         sel = np.arange(n)
         per_array: Dict[str, ShardFootprint] = {}
         for root, tuples in plan.accesses.items():

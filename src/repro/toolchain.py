@@ -107,6 +107,18 @@ class BoundedCache:
         if evicted and self.on_evict is not None:
             self.on_evict(evicted)
 
+    def setdefault(self, key, value, cost: Optional[int] = None):
+        """The value cached under ``key``; when there is none, ``value``,
+        stored first.  Atomic, so threads racing to fill one key all get
+        the first value stored.  Touches no hit/miss counter."""
+        with self._lock:
+            entry = self._data.get(key)
+            if entry is not None:
+                self._data.move_to_end(key)
+                return entry
+            self.put(key, value, cost)
+            return value
+
     def __len__(self) -> int:
         return len(self._data)
 

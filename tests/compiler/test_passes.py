@@ -64,6 +64,21 @@ class TestPassLevelCaching:
             assert records[name].cache_hits == 0, name
             assert records[name].invocations == 2, name
 
+    def test_racing_parses_share_the_first_tree(self, monkeypatch):
+        """Two compiles that both miss the parse cache (threads racing on
+        one source) must end on one tree, since the analyses they share
+        are cached by fingerprint and hold that tree's statements."""
+        ctx = ToolchainContext()
+        parse_cache = ctx.caches.get("parse")
+        monkeypatch.setattr(parse_cache, "get", lambda key, default=None: default)
+        base = compile_source(SOURCE, CompilerOptions(), ctx=ctx)
+        other = compile_source(
+            SOURCE, CompilerOptions(auto_privatize=False), ctx=ctx
+        )
+        assert base.program is other.program
+        (stmt,) = [region.stmt for region in other.regions.compute]
+        assert other.kernel_for_stmt(stmt) is not None
+
     def test_changed_default_data_management_reruns_only_memgen(self):
         ctx = ToolchainContext()
         compile_source(SOURCE, CompilerOptions(), ctx=ctx)

@@ -6,7 +6,7 @@ import pytest
 from repro.device import Device, DeviceConfig
 from repro.device.compile import compile_body
 from repro.device.device import EV_ALLOC, EV_D2H, EV_FREE, EV_H2D, EV_LAUNCH
-from repro.device.engine import LaunchSpec
+from repro.device.engine import IterSpace, LaunchSpec
 from repro.device.transfer import CostModel
 from repro.errors import DeviceError
 from repro.lang import parse_program
@@ -15,7 +15,7 @@ from repro.lang import parse_program
 def simple_spec(a):
     prog = parse_program("void main() { for (int i = 0; i < 4; i++) { a[i] = 1.0; } }")
     body = prog.func("main").body.body[0].body.body
-    return LaunchSpec("k", compile_body(body), ("i",), [(i,) for i in range(4)], arrays={"a": a})
+    return LaunchSpec("k", compile_body(body), ("i",), IterSpace([range(4)]), arrays={"a": a})
 
 
 class TestTransfers:

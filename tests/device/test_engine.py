@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.device.compile import compile_body
-from repro.device.engine import KernelEngine, LaunchSpec, Schedule
+from repro.device.engine import IterSpace, KernelEngine, LaunchSpec, Schedule
 from repro.errors import DeviceError
 from repro.lang import parse_program
 
@@ -23,7 +23,7 @@ def make_spec(body_src, n=16, split=None, dump=None, **kw):
         name="k",
         instrs=instrs,
         index_vars=("i",),
-        threads=[(i,) for i in range(n)],
+        space=IterSpace([range(n)]),
         **kw,
     )
 
@@ -103,7 +103,7 @@ class TestBasicExecution:
         instrs = compile_body(inner.body.body)
         spec = LaunchSpec(
             "k2d", instrs, ("i", "j"),
-            [(i, j) for i in range(4) for j in range(4)],
+            IterSpace([range(4), range(4)]),
             arrays={"a": a},
         )
         KernelEngine().launch(spec)
@@ -128,6 +128,18 @@ class TestReductions:
         )
         res = KernelEngine().launch(spec)
         assert res.reductions["m"] == 9.0
+
+    def test_stepper_shard_partials_keep_python_values(self):
+        # The multi-device merge concatenates shard partials; the stepper's
+        # must arrive unconverted (int64 values above 2**53 would round
+        # as floats).
+        big = 2 ** 55 + 1
+        spec = make_spec("s = s + c;", n=4, arrays={}, scalars={"c": big},
+                         reductions=[("s", "+", np.int64)])
+        partials = {}
+        res = KernelEngine(vectorize=False).launch(spec, partials_out=partials)
+        assert partials["s"].tolist() == [big] * 4
+        assert res.reductions["s"] == 4 * big
 
     def test_float32_tree_order_differs_from_sequential(self):
         rng = np.random.default_rng(42)

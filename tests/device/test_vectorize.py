@@ -15,7 +15,7 @@ from repro.compiler import CompilerOptions, compile_source
 from repro.device import vectorize
 from repro.device.bytecode import Simple
 from repro.device.device import Device, DeviceConfig
-from repro.device.engine import KernelEngine, LaunchSpec, Schedule
+from repro.device.engine import IterSpace, KernelEngine, LaunchSpec, Schedule
 from repro.interp import run_compiled
 from repro.lang.parser import parse_program
 from repro.runtime.accrt import AccRuntime
@@ -92,7 +92,7 @@ class TestBackendEquivalence:
         assert counters.get(CTR_LAUNCH_INTERLEAVED, 0) == 0
 
 
-def _spec(source: str, arrays, threads, index_vars=("i",), **kw) -> LaunchSpec:
+def _spec(source: str, arrays, space, index_vars=("i",), **kw) -> LaunchSpec:
     from repro.device.compile import compile_body
 
     # Same idiom as test_engine: wrap the body in main()'s partitioned loop.
@@ -102,7 +102,7 @@ def _spec(source: str, arrays, threads, index_vars=("i",), **kw) -> LaunchSpec:
         body, split_vars=kw.pop("split_vars", None), dump_vars=kw.pop("dump_vars", None)
     )
     return LaunchSpec(
-        name="k", instrs=instrs, index_vars=index_vars, threads=threads,
+        name="k", instrs=instrs, index_vars=index_vars, space=space,
         arrays=arrays, **kw,
     )
 
@@ -114,7 +114,7 @@ class TestAnalysis:
         spec = _spec(
             "{ b[i] = a[i] * 2.0; }",
             {"a": np.arange(4.0), "b": np.zeros(4)},
-            [(0,), (1,), (2,), (3,)],
+            IterSpace([range(4)]),
         )
         assert vectorize.plan_for(spec) is not None
 
@@ -122,7 +122,7 @@ class TestAnalysis:
         spec = _spec(
             "{ t = a[i]; }",
             {"a": np.arange(4.0)},
-            [(0,), (1,), (2,), (3,)],
+            IterSpace([range(4)]),
             scalars={"t": 0.0},
             shared_writable={"t"},
         )
@@ -134,7 +134,7 @@ class TestAnalysis:
         spec = _spec(
             "{ s = s + a[i]; }",
             {"a": np.arange(4.0)},
-            [(0,), (1,), (2,), (3,)],
+            IterSpace([range(4)]),
             scalars={"s": 0.0},
             shared_writable={"s"},
             split_vars=("s",),
@@ -146,7 +146,7 @@ class TestAnalysis:
         spec = _spec(
             "{ long l; l = (long) a[i]; q[l] = q[l] + 1.0; }",
             {"a": np.arange(4.0), "q": np.zeros(4)},
-            [(0,), (1,), (2,), (3,)],
+            IterSpace([range(4)]),
         )
         assert vectorize.plan_for(spec) is None
 
@@ -154,7 +154,7 @@ class TestAnalysis:
         spec = _spec(
             "{ a[i] = a[i - 1] + 1.0; }",
             {"a": np.arange(4.0)},
-            [(1,), (2,), (3,)],
+            IterSpace([range(1, 4)]),
         )
         assert vectorize.plan_for(spec) is None
 
@@ -162,7 +162,7 @@ class TestAnalysis:
         spec = _spec(
             "{ s = s + a[i]; }",
             {"a": np.arange(4.0)},
-            [(0,), (1,), (2,), (3,)],
+            IterSpace([range(4)]),
             reductions=[("s", "+", np.float64)],
         )
         assert vectorize.plan_for(spec) is not None
@@ -172,7 +172,7 @@ class TestAnalysis:
         ref = KernelEngine(vectorize=False).launch(
             LaunchSpec(
                 name="k", instrs=spec.instrs, index_vars=("i",),
-                threads=spec.threads, arrays=spec.arrays,
+                space=spec.space, arrays=spec.arrays,
                 reductions=spec.reductions,
             ),
             Schedule.round_robin(),
@@ -184,7 +184,7 @@ class TestAnalysis:
         spec = _spec(
             "{ b[i] = a[i] * 2.0; }",
             {"a": np.arange(4.0), "b": np.zeros(4)},
-            [(0,), (1,), (2,), (3,)],
+            IterSpace([range(4)]),
         )
         result = KernelEngine().launch(spec, Schedule.random(seed=7))
         assert result.backend == "interleaved"
@@ -193,7 +193,7 @@ class TestAnalysis:
         spec = _spec(
             "{ b[i] = a[i] * 2.0; }",
             {"a": np.arange(4.0), "b": np.zeros(4)},
-            [(0,), (1,), (2,), (3,)],
+            IterSpace([range(4)]),
         )
         result = KernelEngine(vectorize=False).launch(spec, Schedule.round_robin())
         assert result.backend == "interleaved"

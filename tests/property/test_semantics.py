@@ -1,6 +1,10 @@
 """Properties of program semantics across execution strategies."""
 
+import functools
+import struct
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,3 +78,93 @@ class TestReductionProperties:
         ints = [int(v) for v in values]
         assert bool(tree_reduce("&&", ints)) == all(values)
         assert bool(tree_reduce("||", ints)) == any(values)
+
+
+# Values that stress the float combines: signed zeros, infinities, NaN.
+_SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1e308,
+                   -1e308, 5e-324, 3.4028235e38, 1e-45]
+
+
+def _float_partials(dtype):
+    width = 32 if dtype == np.float32 else 64
+    elements = st.one_of(
+        st.floats(width=width, allow_nan=True, allow_infinity=True),
+        st.sampled_from(_SPECIAL_FLOATS),
+    )
+    return st.lists(elements, min_size=0, max_size=67)
+
+
+def _same(op, got, want):
+    """Identical bytes — except which NaN a ``+``/``*`` of two NaNs returns.
+
+    IEEE 754 leaves that choice open, and the compiled scalar and vector
+    loops make it differently (one keeps the first operand's sign, the
+    other the second's), so there only NaN-ness is fixed.  ``max``/``min``
+    select an operand on both paths, so their bytes match even for NaN."""
+    if op in ("+", "*") and np.isnan(got) and np.isnan(want):
+        return True
+    return struct.pack("<d", got) == struct.pack("<d", want)
+
+
+class TestNumpyTreeReduce:
+    """``tree_reduce`` on a float array (the NumPy level-by-level tree)
+    against the same partials as a Python list (the scalar pairwise loop):
+    identical bytes, identical Python result type."""
+
+    @given(st.sampled_from([np.float64, np.float32]),
+           st.sampled_from(["+", "*", "max", "min"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_array_tree_bit_identical_to_scalar_loop(self, dtype, op, data):
+        values = data.draw(_float_partials(dtype))
+        # Vector registers hold float64; a float32 reduction rounds on entry.
+        arr = np.asarray(values, dtype=np.float64)
+        for red_dtype in (dtype, None):
+            got = tree_reduce(op, arr, red_dtype)
+            want = tree_reduce(op, arr.tolist(), red_dtype)
+            assert type(got) is type(want)
+            assert _same(op, got, want), (op, red_dtype, values)
+
+    @pytest.mark.parametrize("op", ["+", "*", "max", "min"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("values", [
+        [2.5], [-0.0], [np.nan], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0, 0.0],
+        [np.nan, 1.0], [1.0, np.nan], [1.0, np.nan, -1.0],
+        [np.inf, -np.inf], [-np.inf, np.inf, np.nan, 0.0, -0.0],
+        [0.1] * 7, [0.1] * 8, [1e308, 1e308, -1e308],
+    ])
+    def test_edge_cases_bit_identical(self, op, dtype, values):
+        arr = np.asarray(values, dtype=np.float64)
+        got = tree_reduce(op, arr, dtype)
+        want = tree_reduce(op, list(values), dtype)
+        assert type(got) is type(want) is float
+        assert _same(op, got, want)
+
+    def test_empty_array_gives_identity(self):
+        for op in ("+", "*", "max", "min"):
+            assert tree_reduce(op, np.zeros(0), np.float64) == \
+                tree_reduce(op, [], np.float64)
+
+    def test_int_sum_beyond_int64_stays_exact(self):
+        big = np.full(5, 2 ** 62, dtype=np.int64)
+        got = tree_reduce("+", big)
+        assert got == 5 * 2 ** 62 and type(got) is int
+
+    @given(st.sampled_from(["+", "*", "&", "|", "^", "&&", "||", "max", "min"]),
+           st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_reductions_stay_exact(self, op, values):
+        arr = np.asarray(values, dtype=np.int64)
+        got = tree_reduce(op, arr)
+        assert got == tree_reduce(op, list(values))
+        if values and op in ("+", "*", "&", "|", "^"):
+            python_op = {"+": int.__add__, "*": int.__mul__, "&": int.__and__,
+                         "|": int.__or__, "^": int.__xor__}[op]
+            assert got == functools.reduce(python_op, values)
+            assert type(got) is int
+
+    def test_object_partials_keep_python_values(self):
+        # The interleaved stepper hands shard partials over as object
+        # arrays; the scalar loop must see them unconverted.
+        values = [2 ** 70, 3, -(2 ** 69)]
+        got = tree_reduce("+", np.array(values, dtype=object))
+        assert got == sum(values) and type(got) is int

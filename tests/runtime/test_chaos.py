@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench import get
 from repro.device.compile import compile_body
-from repro.device.engine import KernelEngine, LaunchSpec
+from repro.device.engine import IterSpace, KernelEngine, LaunchSpec
 from repro.device import vectorize
 from repro.errors import (
     ChaosFault,
@@ -202,7 +202,7 @@ def body_of(src):
 def make_spec(body_src, n=16, **kw):
     stmts = body_of(f"for (int i = 0; i < {n}; i++) {{ {body_src} }}")
     return LaunchSpec("k", compile_body(stmts), ("i",),
-                      [(i,) for i in range(n)], **kw)
+                      IterSpace([range(n)]), **kw)
 
 
 class TestWatchdog:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.device import Device, DeviceConfig
 from repro.device.compile import compile_body
-from repro.device.engine import LaunchSpec
+from repro.device.engine import IterSpace, LaunchSpec
 from repro.errors import RuntimeFault
 from repro.lang import parse_program
 from repro.runtime.accrt import AccRuntime
@@ -175,7 +175,7 @@ class TestAccRuntime:
         body = parse_program(
             "void main() { for (int i = 0; i < 4; i++) { a[i] = 2.0; } }"
         ).func("main").body.body[0].body.body
-        spec = LaunchSpec("k", compile_body(body), ("i",), [(i,) for i in range(4)],
+        spec = LaunchSpec("k", compile_body(body), ("i",), IterSpace([range(4)]),
                           arrays={"a": rt.device_array("a")})
         rt.launch(spec)
         assert rt.profiler.totals[CAT_KERNEL] > 0
@@ -187,7 +187,7 @@ class TestAccRuntime:
         body = parse_program(
             "void main() { for (int i = 0; i < 4; i++) { a[i] = 2.0; } }"
         ).func("main").body.body[0].body.body
-        spec = LaunchSpec("k", compile_body(body), ("i",), [(i,) for i in range(4)],
+        spec = LaunchSpec("k", compile_body(body), ("i",), IterSpace([range(4)]),
                           arrays={"a": rt.device_array("a")})
         rt.launch(spec, queue=1)
         assert rt.profiler.totals[CAT_KERNEL] == 0.0
