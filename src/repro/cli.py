@@ -214,7 +214,7 @@ def cmd_compile(args, ctx: ToolchainContext) -> int:
         print("\n-- compile caches")
         for key, value in compile_cache_stats(ctx).items():
             print(f"   {key:15s} {value}")
-        print("-- semantics closure caches")
+        print("-- semantics closures compiled")
         for key, value in expr_cache_stats().items():
             print(f"   {key:15s} {value}")
     return 0
@@ -819,7 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, params=False)
     p.add_argument("--show-source", action="store_true")
     p.add_argument("--cache-stats", action="store_true",
-                   help="print compile-cache and semantics closure-cache counters")
+                   help="print compile-cache counters and the number of "
+                        "semantics closures compiled")
     p.set_defaults(func=cmd_compile)
 
     def add_chaos(p):

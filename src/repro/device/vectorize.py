@@ -49,7 +49,6 @@ bailed-out launch leaves device memory untouched for the re-run.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -544,33 +543,31 @@ class _Ctx:
         self.nlanes = nlanes
 
 
-_VEXPR_CACHE: "weakref.WeakKeyDictionary[ast.Expr, Callable]" = weakref.WeakKeyDictionary()
-_VSTORE_CACHE: "weakref.WeakKeyDictionary[ast.Expr, Callable]" = weakref.WeakKeyDictionary()
-_VSTMT_CACHE: "weakref.WeakKeyDictionary[ast.Stmt, Callable]" = weakref.WeakKeyDictionary()
-
-
+# Each node's vector closure lives in a slot on the node (``_veval``,
+# ``_vstore``, ``_vexec``), next to its scalar closures in
+# :mod:`repro.lang.semantics`.
 def _vec_expr(expr: ast.Expr) -> Callable:
-    fn = _VEXPR_CACHE.get(expr)
-    if fn is None:
-        fn = _compile_vexpr(expr)
-        _VEXPR_CACHE[expr] = fn
-    return fn
+    try:
+        return expr._veval
+    except AttributeError:
+        fn = expr._veval = _compile_vexpr(expr)
+        return fn
 
 
 def _vec_store(target: ast.Expr) -> Callable:
-    fn = _VSTORE_CACHE.get(target)
-    if fn is None:
-        fn = _compile_vstore(target)
-        _VSTORE_CACHE[target] = fn
-    return fn
+    try:
+        return target._vstore
+    except AttributeError:
+        fn = target._vstore = _compile_vstore(target)
+        return fn
 
 
 def _vec_stmt(stmt: ast.Stmt) -> Callable:
-    fn = _VSTMT_CACHE.get(stmt)
-    if fn is None:
-        fn = _compile_vstmt(stmt)
-        _VSTMT_CACHE[stmt] = fn
-    return fn
+    try:
+        return stmt._vexec
+    except AttributeError:
+        fn = stmt._vexec = _compile_vstmt(stmt)
+        return fn
 
 
 def _gather_upcast(out):

@@ -25,7 +25,11 @@ class HostEnv:
                  call_handler: Optional[Callable] = None):
         self.params = dict(params or {})
         self.scopes: List[Dict[str, object]] = [{}]
+        # Coercion dtype of each visible scalar name (the innermost
+        # declaration's).  ``shadowed`` runs parallel to ``scopes``: the
+        # entries a scope's declarations replaced, put back when it pops.
         self.dtypes: Dict[str, object] = {}
+        self.shadowed: List[Dict[str, object]] = [{}]
         self.canonical: Dict[int, str] = {}   # id(ndarray) -> declared name
         self.stdout: List[str] = []
         self._call_handler = call_handler
@@ -33,9 +37,15 @@ class HostEnv:
     # -- scope management ----------------------------------------------------
     def push_scope(self) -> None:
         self.scopes.append({})
+        self.shadowed.append({})
 
     def pop_scope(self) -> None:
         self.scopes.pop()
+        for name, dtype in self.shadowed.pop().items():
+            if dtype is None:
+                self.dtypes.pop(name, None)
+            else:
+                self.dtypes[name] = dtype
 
     def _find_scope(self, name: str) -> Optional[Dict[str, object]]:
         for scope in reversed(self.scopes):
@@ -46,6 +56,11 @@ class HostEnv:
     # -- declaration ---------------------------------------------------------
     def declare(self, name: str, ctype: Optional[CType], value=None) -> None:
         scope = self.scopes[-1]
+        self.shadowed[-1].setdefault(name, self.dtypes.get(name))
+        if isinstance(ctype, Scalar):
+            self.dtypes[name] = ctype.dtype
+        else:
+            self.dtypes.pop(name, None)
         if isinstance(ctype, Array):
             shape = self._resolve_shape(ctype, name)
             preset = self.params.get(name)
@@ -72,7 +87,6 @@ class HostEnv:
         if value is None:
             value = 0
         if isinstance(ctype, Scalar):
-            self.dtypes[name] = ctype.dtype
             value = np.dtype(ctype.dtype).type(value).item()
         scope[name] = value
 
@@ -171,6 +185,7 @@ class HostEnv:
             "canonical": {key: name for key, name in self.canonical.items()
                           if key in arrays},
             "dtypes": dict(self.dtypes),
+            "shadowed": [dict(entry) for entry in self.shadowed],
             "stdout": list(self.stdout),
         }
 
@@ -217,6 +232,7 @@ class HostEnv:
             for name, (kind, ref) in entry.items():
                 scope[name] = live[ref] if kind == "array" else ref
         self.dtypes = dict(state["dtypes"])
+        self.shadowed = [dict(entry) for entry in state["shadowed"]]
         self.stdout[:] = state["stdout"]
         self.canonical = {id(live[ref]): name
                           for ref, name in state["canonical"].items()}

@@ -10,21 +10,45 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence, Tuple
 
+# Slots holding closures compiled from a node (:mod:`repro.lang.semantics`
+# and :mod:`repro.device.vectorize`).  They stay unset until the first
+# compile and are never copied or pickled: see :meth:`Node.__getstate__`.
+CLOSURE_SLOTS = frozenset(("_eval", "_store", "_veval", "_vstore",
+                           "_exec", "_vexec"))
+
 
 class Node:
     """Base class for all AST nodes.
 
-    ``__weakref__`` lets the compiled-expression cache in
-    :mod:`repro.lang.semantics` key closures by node without pinning trees
-    in memory (entries die with the AST, so caches never leak across
-    programs).
+    Compiled closures live in slots on the node they were compiled from, so
+    they die with their AST.  ``__weakref__`` stays for
+    ``CacheRegistry.fingerprints`` (:mod:`repro.toolchain`), the pass
+    manager's weakly keyed AST → source-hash table.
     """
 
     __slots__ = ("line", "__weakref__")
     _fields: Tuple[str, ...] = ()
+    _data_slots: Tuple[str, ...] = ("line",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Slot names in the order the default slot pickling lists them
+        # (most-derived class first), minus the closure slots.
+        cls._data_slots = tuple(
+            name for klass in cls.__mro__
+            for name in klass.__dict__.get("__slots__", ())
+            if name != "__weakref__" and name not in CLOSURE_SLOTS)
 
     def __init__(self, line: int = 0):
         self.line = line
+
+    # -- copy / pickle -------------------------------------------------------
+    def __getstate__(self):
+        """Slot state without compiled closures.  ``copy.copy`` clones (see
+        :class:`repro.lang.visitor.Transformer`) get their fields replaced
+        afterwards, so a copied closure would run the old children; and a
+        closure cannot be pickled."""
+        return None, {name: getattr(self, name) for name in self._data_slots}
 
     # -- generic traversal ------------------------------------------------
     def children(self) -> Iterator["Node"]:
@@ -68,7 +92,7 @@ class Node:
 
 class Expr(Node):
     """Base class for expressions."""
-    __slots__ = ()
+    __slots__ = ("_eval", "_store", "_veval", "_vstore")
 
 
 class IntLit(Expr):
@@ -188,7 +212,7 @@ class Stmt(Node):
     """Base class for statements.  ``pragmas`` holds directives written on
     the lines immediately above the statement."""
 
-    __slots__ = ("pragmas",)
+    __slots__ = ("pragmas", "_exec", "_vexec")
 
     def __init__(self, line: int = 0):
         super().__init__(line)

@@ -15,21 +15,18 @@ follow C (truncation toward zero), not Python (floor).
 Expressions and simple statements are *compiled once* per AST node into
 Python closures (:func:`compile_expr` / :func:`compile_stmt`) and the
 closure is reused on every subsequent evaluation — the host interpreter and
-the device stepper both go through this cache, which removes the per-visit
-type dispatch that dominated interpretation cost.  The cache is keyed by
-node identity in a :class:`weakref.WeakKeyDictionary`, so entries die with
-the AST they belong to and never leak between programs.  Compiler passes
-clone nodes they rewrite (they never mutate expression fields in place), so
-a cached closure can never go stale.
+the device stepper both go through these closures, which removes the
+per-visit type dispatch that dominated interpretation cost.  Each closure is
+stored in a slot on the node it was compiled from, so it dies with its AST
+and never leaks between programs.  Compiler passes clone nodes they rewrite
+(they never mutate expression fields in place), and clones do not carry
+closures, so a stored closure can never go stale.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from collections import deque
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -76,135 +73,52 @@ _BINOPS: Dict[str, Callable] = {
 
 
 # ---------------------------------------------------------------------------
-# Compiled-expression cache
+# Compiled closures
 # ---------------------------------------------------------------------------
 #
-# Closures are weakly keyed by AST node, so in a short-lived process entries
-# simply die with their program.  A long-lived daemon changes the picture:
-# its shared parse cache pins many ASTs alive, so the weak tables would grow
-# without limit.  Each table therefore carries an *entry cap*: when an
-# insert pushes a table past its cap, the oldest inserts are evicted (and
-# counted) until it fits.  Eviction order is insertion order, not
-# least-recently-used, by design — a closure lookup sits on the interpreter's
-# per-statement hot path (the very path PR 1's closure cache made fast), and
-# maintaining recency there would tax every statement executed.  A closure's
-# useful life tracks its program's, so insertion order is an excellent
-# proxy.  Evicting a live node's closure is always safe: the next lookup
-# recompiles it.
+# Each node's closure lives in a slot on the node itself (``_eval``,
+# ``_store``, ``_exec``; see :data:`repro.lang.ast.CLOSURE_SLOTS`), unset
+# until the first compile.  A lookup is one attribute read, and a closure
+# dies with its AST, so nothing has to bound or evict them: a daemon's
+# retained ASTs are bounded by its pass cache.  Two threads racing to
+# compile one node each store an equivalent closure, and either may win.
 
-DEFAULT_CLOSURE_CACHE_MAX = 65536
-
-_EXPR_CACHE: "weakref.WeakKeyDictionary[ast.Expr, Callable]" = weakref.WeakKeyDictionary()
-_STMT_CACHE: "weakref.WeakKeyDictionary[ast.Stmt, Callable]" = weakref.WeakKeyDictionary()
-_STORE_CACHE: "weakref.WeakKeyDictionary[ast.Expr, Callable]" = weakref.WeakKeyDictionary()
-_CACHE_STATS = {"expr_hits": 0, "expr_misses": 0, "stmt_hits": 0,
-                "stmt_misses": 0, "expr_evictions": 0, "stmt_evictions": 0,
-                "store_evictions": 0}
-_CACHE_MAX = {"max_entries": DEFAULT_CLOSURE_CACHE_MAX}
-# Insertion-order rings of weakrefs (dead refs are skipped at evict time).
-_EXPR_ORDER: "deque[weakref.ref]" = deque()
-_STMT_ORDER: "deque[weakref.ref]" = deque()
-_STORE_ORDER: "deque[weakref.ref]" = deque()
-# Guards the miss/insert path only; the hit path stays lock-free (CPython
-# dict reads are atomic, and a racing double-compile is benign — both
-# closures are equivalent and one wins).
-_INSERT_LOCK = threading.Lock()
+_COMPILED = {"expr_compiled": 0, "stmt_compiled": 0}
 
 
 def expr_cache_stats() -> Dict[str, int]:
-    """Hit/miss/eviction counters plus current cache sizes (diagnostics)."""
-    stats = dict(_CACHE_STATS)
-    stats["expr_entries"] = len(_EXPR_CACHE)
-    stats["stmt_entries"] = len(_STMT_CACHE)
-    stats["max_entries"] = _CACHE_MAX["max_entries"]
-    return stats
-
-
-def set_closure_cache_limit(max_entries: Optional[int]) -> int:
-    """Set the per-table entry cap (None restores the default); returns the
-    previous cap.  The daemon exposes this as a serving knob."""
-    previous = _CACHE_MAX["max_entries"]
-    _CACHE_MAX["max_entries"] = (DEFAULT_CLOSURE_CACHE_MAX
-                                 if max_entries is None else max_entries)
-    return previous
-
-
-def clear_expr_cache() -> None:
-    """Drop every cached closure (tests; normally unnecessary — entries are
-    weakly keyed and die with their AST)."""
-    _EXPR_CACHE.clear()
-    _STMT_CACHE.clear()
-    _STORE_CACHE.clear()
-    _EXPR_ORDER.clear()
-    _STMT_ORDER.clear()
-    _STORE_ORDER.clear()
-    for key in _CACHE_STATS:
-        _CACHE_STATS[key] = 0
-
-
-def _insert_bounded(cache, order, node, fn, evict_counter: str) -> None:
-    """Insert under the entry cap, evicting oldest inserts on overflow."""
-    with _INSERT_LOCK:
-        cache[node] = fn
-        try:
-            order.append(weakref.ref(node))
-        except TypeError:
-            return  # unweakrefable key: the weak table rejected it anyway
-        cap = _CACHE_MAX["max_entries"]
-        if len(order) > max(2 * cap, 1024):
-            # Entries that died with their AST leave dead refs behind in the
-            # ring; compact so the ring stays O(cap) even when the weak
-            # tables never overflow.
-            live = [ref for ref in order if ref() is not None]
-            order.clear()
-            order.extend(live)
-        while len(cache) > cap and order:
-            ref = order.popleft()
-            old = ref()
-            if old is None or old is node:
-                # Dead node (entry already gone) — or the cap is so small
-                # the brand-new entry is the only one left; keep it.
-                if old is node:
-                    order.append(ref)
-                    break
-                continue
-            if cache.pop(old, None) is not None:
-                _CACHE_STATS[evict_counter] += 1
+    """Expression and statement closures compiled so far (diagnostics)."""
+    return dict(_COMPILED)
 
 
 def compile_expr(expr: ast.Expr) -> Callable:
     """Closure for ``expr``: ``fn(env) -> value``.  Compiled once per node."""
-    fn = _EXPR_CACHE.get(expr)
-    if fn is None:
-        _CACHE_STATS["expr_misses"] += 1
-        fn = _compile_expr(expr)
-        _insert_bounded(_EXPR_CACHE, _EXPR_ORDER, expr, fn, "expr_evictions")
-    else:
-        _CACHE_STATS["expr_hits"] += 1
-    return fn
+    try:
+        return expr._eval
+    except AttributeError:
+        _COMPILED["expr_compiled"] += 1
+        fn = expr._eval = _compile_expr(expr)
+        return fn
 
 
 def compile_store(target: ast.Expr) -> Callable:
     """Closure for an lvalue: ``fn(value, env) -> None``."""
-    fn = _STORE_CACHE.get(target)
-    if fn is None:
-        fn = _compile_store(target)
-        _insert_bounded(_STORE_CACHE, _STORE_ORDER, target, fn,
-                        "store_evictions")
-    return fn
+    try:
+        return target._store
+    except AttributeError:
+        fn = target._store = _compile_store(target)
+        return fn
 
 
 def compile_stmt(stmt: ast.Stmt) -> Callable:
     """Closure for a simple statement (Assign / VarDecl / ExprStmt):
     ``fn(env) -> None``."""
-    fn = _STMT_CACHE.get(stmt)
-    if fn is None:
-        _CACHE_STATS["stmt_misses"] += 1
-        fn = _compile_stmt(stmt)
-        _insert_bounded(_STMT_CACHE, _STMT_ORDER, stmt, fn, "stmt_evictions")
-    else:
-        _CACHE_STATS["stmt_hits"] += 1
-    return fn
+    try:
+        return stmt._exec
+    except AttributeError:
+        _COMPILED["stmt_compiled"] += 1
+        fn = stmt._exec = _compile_stmt(stmt)
+        return fn
 
 
 def evaluate(expr: ast.Expr, env) -> object:

@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 # Snapshot envelope format tag; bump on any incompatible payload change.
-CHECKPOINT_FORMAT = "repro.checkpoint/1"
+CHECKPOINT_FORMAT = "repro.checkpoint/2"
 
 
 class InjectedCrash(RuntimeError):

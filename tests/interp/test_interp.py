@@ -22,6 +22,23 @@ class TestSequentialSemantics:
         )
         assert it.env.load("n") == 55
 
+    def test_inner_declaration_dtype_ends_with_its_scope(self):
+        # The inner `double x` must not make later stores to the outer
+        # `int x` keep their fraction.
+        it = run(
+            """
+            double out;
+            void main() {
+                int x;
+                x = 7;
+                { double x; x = 2.5; }
+                x = 3.9;
+                out = x;
+            }
+            """
+        )
+        assert it.env.load("out") == 3.0
+
     def test_integer_division_truncates_toward_zero(self):
         it = run("int a, b; void main() { a = -7 / 2; b = 7 % 2; }")
         assert it.env.load("a") == -3 and it.env.load("b") == 1

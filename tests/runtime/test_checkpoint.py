@@ -27,6 +27,7 @@ from repro.errors import (
 )
 from repro.experiments.harness import run_variant, run_variant_isolated
 from repro.interp.values import HostEnv
+from repro.lang.ctypes import DOUBLE, INT
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.accrt import AccRuntime
 from repro.runtime.chaos import FaultSpec
@@ -118,6 +119,22 @@ class TestHostEnvSnapshot:
         env.scopes[-1]["a"][:] = 2.0
         env.restore_state(state)
         np.testing.assert_array_equal(env.scopes[-1]["a"], np.zeros(3))
+
+    def test_roundtrip_preserves_shadowed_dtypes(self):
+        env = HostEnv()
+        env.declare("x", INT, 7)
+        env.push_scope()
+        env.declare("x", DOUBLE, 2.5)
+        state = env.snapshot_state()
+        env.pop_scope()
+        env.push_scope()
+        env.restore_state(state)
+        env.store("x", 0.5)
+        assert env.load("x") == 0.5
+        env.pop_scope()
+        # Leaving the restored scope brings back the outer int coercion.
+        env.store("x", 3.9)
+        assert env.load("x") == 3
 
     def test_scope_depth_mismatch_is_typed(self):
         env = HostEnv()

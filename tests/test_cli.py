@@ -176,8 +176,9 @@ class TestObservabilityFlags:
         assert "compile caches" in out
         assert "parse_misses" in out
         assert "pass_misses" in out
-        assert "semantics closure caches" in out
-        assert "expr_hits" in out
+        assert "semantics closures compiled" in out
+        assert "expr_compiled" in out
+        assert "stmt_compiled" in out
 
     def test_time_passes_report(self, good_file, capsys):
         assert main(["compile", good_file, "--time-passes"]) == 0
